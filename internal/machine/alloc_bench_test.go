@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chats/internal/core"
+	"chats/internal/mem"
 )
 
 // Whole-machine allocation benchmarks: the event path from thread op
@@ -57,3 +58,43 @@ func BenchmarkWholeMachineCHATS(b *testing.B) { benchMachine(b, core.KindCHATS) 
 // BenchmarkWholeMachineBaseline runs the same workload on the baseline
 // requester-wins system.
 func BenchmarkWholeMachineBaseline(b *testing.B) { benchMachine(b, core.KindBaseline) }
+
+// loadLoopWL has thread 0 issue n non-transactional loads of one
+// private line: after the first miss every load hits in L1, so each
+// op costs one engine event plus one engine/thread handoff.
+type loadLoopWL struct {
+	n    int
+	addr mem.Addr
+}
+
+func (w *loadLoopWL) Name() string { return "load-loop" }
+func (w *loadLoopWL) Setup(wd *World, threads int) {
+	w.addr = wd.Alloc.LineAligned(1)
+}
+func (w *loadLoopWL) Thread(ctx Ctx, tid int) {
+	for i := 0; i < w.n; i++ {
+		ctx.Load(w.addr)
+	}
+}
+func (w *loadLoopWL) Check(*World) error { return nil }
+
+// BenchmarkThreadOpRoundTrip measures one workload-op round trip: a
+// single core doing conflict-free L1-hit loads, so ns/op and allocs/op
+// are per simulated op and dominated by the engine/thread handoff.
+func BenchmarkThreadOpRoundTrip(b *testing.B) {
+	policy, err := core.New(core.KindBaseline)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cores = 1
+	m, err := New(cfg, policy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := m.Run(&loadLoopWL{n: b.N}); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -1,7 +1,15 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to go1.23
+// for iter.Pull while go.mod stays at go 1.22, the version modules that
+// replace-require this one still declare.
+
 package machine
 
 import (
-	"sync"
+	"fmt"
+	"iter"
+	"strings"
 	"sync/atomic"
 
 	"chats/internal/htm"
@@ -71,6 +79,24 @@ const (
 	opFallbackBodyStart
 )
 
+// opNames names the ops in error messages.
+var opNames = [...]string{
+	opLoad:              "load",
+	opStore:             "store",
+	opCAS:               "cas",
+	opWork:              "work",
+	opBegin:             "begin",
+	opCommit:            "commit",
+	opAbortAck:          "abort-ack",
+	opEnterFallback:     "enter-fallback",
+	opExitFallback:      "exit-fallback",
+	opAcquirePower:      "acquire-power",
+	opReleasePower:      "release-power",
+	opFallbackBodyStart: "fallback-body-start",
+}
+
+func (k opKind) String() string { return opNames[k] }
+
 type opReq struct {
 	kind    opKind
 	addr    mem.Addr
@@ -87,17 +113,17 @@ type opReply struct {
 	ok      bool
 	swapped bool
 	cause   htm.AbortCause
-	fatal   bool
 }
 
 // tctxTimer is the payload for the thread ops that are pure delays
 // (work, abort ack, fallback transitions, power handoff). One per
-// thread: the rendezvous guarantees a single pending op.
+// thread: a suspended thread has at most one op pending.
 type tctxTimer struct {
 	t     *tctx
 	op    opKind
 	ok    bool
 	cause htm.AbortCause
+	ev    *sim.Event // the pending delay, valid until it fires; tests cancel it to lose a wakeup
 }
 
 // Run completes the delayed op and wakes the thread.
@@ -115,16 +141,25 @@ func (tt *tctxTimer) Run() {
 	}
 }
 
-// tctx is one simulated thread: the goroutine side talks to the engine
-// through a strict rendezvous, so exactly one of {engine, some thread}
-// runs at any instant and the simulation stays deterministic.
+// tctx is one simulated thread, run as an iter.Pull coroutine: the
+// engine side resumes it with next, and the thread runs until it yields
+// its next op, so exactly one of {engine, some thread} runs at any
+// instant and the simulation stays deterministic. A resume is a direct
+// goroutine switch, with no trip through the scheduler.
 type tctx struct {
-	r       *runner
-	node    *Node
-	tid     int
-	rng     *sim.Rand
-	reqCh   chan opReq
-	replyCh chan opReply
+	r    *runner
+	node *Node
+	tid  int
+	rng  *sim.Rand
+
+	// next resumes the thread up to its next op; stop unwinds a thread
+	// still suspended when the run ends. Both are engine-side. yield is
+	// the thread side's half of the coroutine, rep the reply to the op
+	// it last yielded.
+	next  func() (opReq, bool)
+	stop  func()
+	yield func(opReq) bool
+	rep   opReply
 
 	// engine-side bookkeeping
 	pendingOp bool
@@ -139,12 +174,22 @@ type tctx struct {
 	elide int
 }
 
-// finish completes the pending op: reply to the thread and block for its
-// next request.
+// finish completes the pending op: store the reply and resume the
+// thread up to its next request.
 func (t *tctx) finish(rep opReply) {
 	t.pendingOp = false
-	t.replyCh <- rep
+	t.rep = rep
 	t.r.pump(t)
+}
+
+// Run starts the thread: it is the payload of the thread's first event.
+func (t *tctx) Run() { t.r.pump(t) }
+
+// sleep completes the pending op with the timer payload after delay
+// cycles.
+func (t *tctx) sleep(delay uint64, op opKind) {
+	t.timer.op = op
+	t.timer.ev = t.node.sched.ScheduleRunner(delay, &t.timer)
 }
 
 // Completion handlers for the node's asynchronous operations; they
@@ -226,84 +271,77 @@ func (r *runner) armWatchdog() {
 }
 
 func (r *runner) run(w Workload) error {
-	// Build the full thread list before spawning any goroutine: threads
-	// call Ctx.Threads() (len(r.threads)) as soon as they start, so the
-	// slice must not grow concurrently.
+	// Build the full thread list before starting any thread: threads
+	// call Ctx.Threads() (len(r.threads)) as soon as they start.
 	for i := range r.m.nodes {
 		t := &tctx{
-			r:       r,
-			node:    r.m.nodes[i],
-			tid:     i,
-			rng:     sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
-			reqCh:   make(chan opReq),
-			replyCh: make(chan opReply),
+			r:    r,
+			node: r.m.nodes[i],
+			tid:  i,
+			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
 		}
-		r.threads = append(r.threads, t)
-	}
-	var wg sync.WaitGroup
-	for _, t := range r.threads {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(t.reqCh)
+		t.next, t.stop = iter.Pull(func(yield func(opReq) bool) {
 			defer func() {
 				if rec := recover(); rec != nil {
-					if _, ok := rec.(killedSignal); ok {
-						return
+					if _, ok := rec.(killedSignal); !ok {
+						panic(rec) // next re-panics it on the engine side
 					}
-					panic(rec)
 				}
 			}()
+			t.yield = yield
 			w.Thread(t, t.tid)
-		}()
+		})
+		r.threads = append(r.threads, t)
 	}
+	// Unwind the threads still suspended when the run ends: on an engine
+	// error, a stuck thread, or a panic out of the engine.
+	defer func() {
+		for _, t := range r.threads {
+			t.stop()
+		}
+	}()
 	r.active.Store(int32(len(r.threads)))
 	for _, t := range r.threads {
-		t := t
-		t.node.sched.Schedule(0, func() { r.pump(t) })
+		t.node.sched.ScheduleRunner(0, t)
 	}
 	if r.m.cfg.WatchdogCycles > 0 {
 		r.wdLast = r.m.progress()
 		r.armWatchdog()
 	}
-	_, err := r.m.eng.Run(r.m.cfg.CycleLimit)
-	if err != nil {
-		r.kill()
+	if _, err := r.m.eng.Run(r.m.cfg.CycleLimit); err != nil {
+		return err
 	}
-	wg.Wait()
-	return err
+	return r.stuckError()
 }
 
-// kill unblocks every remaining thread after a cycle-limit error so the
-// goroutines exit cleanly.
-func (r *runner) kill() {
+// stuckError reports the threads that never finished although the event
+// queue drained: each waits on a reply no pending event will deliver (a
+// lost wakeup), so stats taken now would describe a truncated run.
+func (r *runner) stuckError() error {
+	var stuck []string
 	for _, t := range r.threads {
-		if t.done {
-			continue
-		}
-		if t.pendingOp {
-			t.replyCh <- opReply{fatal: true}
-		} else {
-			if _, ok := <-t.reqCh; !ok {
-				continue
-			}
-			t.replyCh <- opReply{fatal: true}
-		}
-		for range t.reqCh { // drain until the deferred close
+		if !t.done {
+			stuck = append(stuck, fmt.Sprintf("tid %d on %s", t.tid, t.req.kind))
 		}
 	}
+	if stuck == nil {
+		return nil
+	}
+	return fmt.Errorf("event queue drained at cycle %d with %d thread(s) blocked: %s",
+		r.m.eng.Now(), len(stuck), strings.Join(stuck, ", "))
 }
 
-// pump blocks until the thread issues its next operation (or finishes)
-// and dispatches it. It runs inside engine events; blocking here is what
-// hands the CPU to the thread goroutine.
+// pump resumes the thread until it issues its next operation (or
+// finishes) and dispatches it. It runs inside engine events, under
+// intra-run parallelism inside the thread's node-domain events on
+// engine workers; iter.Pull only forbids concurrent resumes, and one
+// domain runs on one worker at a time.
 func (r *runner) pump(t *tctx) {
-	req, ok := <-t.reqCh
+	req, ok := t.next()
 	if !ok {
 		t.done = true
 		if r.active.Add(-1) == 0 && r.wd != nil {
@@ -334,13 +372,12 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		if cycles == 0 {
 			cycles = 1
 		}
-		t.timer.op = opWork
-		n.sched.ScheduleRunner(cycles, &t.timer)
+		t.sleep(cycles, opWork)
 	case opBegin:
 		if m.cfg.MaxAttempts > 0 && req.attempt > m.cfg.MaxAttempts {
 			// Starvation budget exceeded: halt the engine with the dump.
-			// No reply is sent (pendingOp stays set), so the kill() path
-			// unwinds this thread once Run returns the error.
+			// No reply is sent (pendingOp stays set); run unwinds this
+			// thread once Run returns the error.
 			m.eng.Halt(m.starvationError(n.id, req.attempt))
 			return
 		}
@@ -348,9 +385,8 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 	case opCommit:
 		n.Commit(t)
 	case opAbortAck:
-		t.timer.op = opAbortAck
 		t.timer.cause = n.FinishAbort()
-		n.sched.ScheduleRunner(m.cfg.AbortLatency, &t.timer)
+		t.sleep(m.cfg.AbortLatency, opAbortAck)
 	case opEnterFallback:
 		n.EnterFallback()
 		if !n.fbTiming {
@@ -366,18 +402,16 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 				delay += d
 			}
 		}
-		t.timer.op = opEnterFallback
 		t.timer.ok = true
-		n.sched.ScheduleRunner(delay, &t.timer)
+		t.sleep(delay, opEnterFallback)
 	case opExitFallback:
 		n.ExitFallback()
 		if n.fbTiming {
 			n.stats.FallbackBodyCycles += m.eng.Now() - n.fbStart
 			n.fbTiming = false
 		}
-		t.timer.op = opExitFallback
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		t.sleep(1, opExitFallback)
 	case opFallbackBodyStart:
 		// The STM path opens its occupancy window at body start, so
 		// overlapping software fallbacks measure as concurrency; the
@@ -386,18 +420,15 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 			n.fbTiming = true
 			n.fbStart = m.eng.Now()
 		}
-		t.timer.op = opFallbackBodyStart
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		t.sleep(1, opFallbackBodyStart)
 	case opAcquirePower:
-		t.timer.op = opAcquirePower
 		t.timer.ok = m.tryAcquirePower(n.id)
-		n.sched.ScheduleRunner(1, &t.timer)
+		t.sleep(1, opAcquirePower)
 	case opReleasePower:
 		m.releasePower(n.id)
-		t.timer.op = opReleasePower
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		t.sleep(1, opReleasePower)
 	default:
 		panic("machine: unknown op")
 	}
@@ -405,13 +436,13 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 
 // ---------- thread-side API ----------
 
+// do hands req to the engine and suspends the thread until the reply.
+// yield returns false once the run is over and stop unwinds the thread.
 func (t *tctx) do(req opReq) opReply {
-	t.reqCh <- req
-	rep := <-t.replyCh
-	if rep.fatal {
+	if !t.yield(req) {
 		panic(killedSignal{})
 	}
-	return rep
+	return t.rep
 }
 
 func (t *tctx) TID() int        { return t.tid }

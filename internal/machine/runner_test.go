@@ -3,9 +3,12 @@ package machine
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"chats/internal/core"
+	"chats/internal/faults"
 	"chats/internal/htm"
 	"chats/internal/mem"
 	"chats/internal/sim"
@@ -139,27 +142,27 @@ func TestReadOwnWrites(t *testing.T) {
 	}
 }
 
+// firstDrawWL records each thread's first Ctx.Rand() draw.
+type firstDrawWL struct{ draws []uint64 }
+
+func (w *firstDrawWL) Name() string                 { return "first-draw" }
+func (w *firstDrawWL) Setup(wd *World, threads int) { w.draws = make([]uint64, threads) }
+func (w *firstDrawWL) Thread(ctx Ctx, tid int)      { w.draws[tid] = ctx.Rand().Uint64() }
+func (w *firstDrawWL) Check(*World) error           { return nil }
+
+// Every thread must get its own PRNG stream.
 func TestThreadRandsDiffer(t *testing.T) {
-	cfg := testCfg()
-	policy, _ := core.New(core.KindBaseline)
-	m, err := New(cfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRunner(m)
-	seen := map[uint64]bool{}
-	for i := range m.nodes {
-		t1 := &tctx{r: r, node: m.nodes[i], tid: i,
-			rng: nil, reqCh: make(chan opReq), replyCh: make(chan opReply)}
-		_ = t1
-	}
-	// The per-thread seeds must differ (different streams).
-	for i := 0; i < cfg.Cores; i++ {
-		seed := cfg.Seed*7919 + uint64(i) + 101
-		if seen[seed] {
-			t.Fatal("duplicate thread seed")
+	w := &firstDrawWL{}
+	runWL(t, core.KindBaseline, w, testCfg())
+	seen := map[uint64]int{}
+	for tid, d := range w.draws {
+		if prev, dup := seen[d]; dup {
+			t.Fatalf("threads %d and %d drew the same first value %#x", prev, tid, d)
 		}
-		seen[seed] = true
+		seen[d] = tid
+	}
+	if len(seen) != testCfg().Cores {
+		t.Fatalf("%d draws recorded, want %d", len(seen), testCfg().Cores)
 	}
 }
 
@@ -200,5 +203,130 @@ func TestBackoffClampsOverflow(t *testing.T) {
 		if got := tc.backoff(aborts); got != want {
 			t.Fatalf("aborts=%d: backoff %d, want unclamped %d", aborts, got, want)
 		}
+	}
+}
+
+// lostWakeupWL parks thread 0 in a long Work and has thread 1 cancel
+// that op's timer event, so thread 0 waits on a reply that never comes.
+type lostWakeupWL struct{}
+
+func (w *lostWakeupWL) Name() string      { return "lost-wakeup" }
+func (w *lostWakeupWL) Setup(*World, int) {}
+func (w *lostWakeupWL) Thread(ctx Ctx, tid int) {
+	switch tid {
+	case 0:
+		ctx.Work(1000)
+	case 1:
+		ctx.Work(10)
+		r := ctx.(*tctx).r
+		r.m.eng.Cancel(r.threads[0].timer.ev)
+	}
+}
+func (w *lostWakeupWL) Check(*World) error { return nil }
+
+// A thread still waiting when the event queue drains must fail the run
+// with its tid and pending op, not be dropped silently.
+func TestStuckThreadErrors(t *testing.T) {
+	cfg := testCfg()
+	cfg.Cores = 2
+	policy, _ := core.New(core.KindBaseline)
+	m, err := New(cfg, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run(&lostWakeupWL{})
+	if err == nil || !strings.Contains(err.Error(), "1 thread(s) blocked: tid 0 on work") {
+		t.Fatalf("err = %v, want thread 0 reported blocked on work", err)
+	}
+}
+
+// assertNoLeak fails if goroutines started by a run outlive it.
+func assertNoLeak(t *testing.T, before int) {
+	t.Helper()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after the run, %d before", after, before)
+	}
+}
+
+// Every run that ends early must return its error and unwind all of its
+// thread coroutines and engine workers.
+func TestFailedRunsUnwindThreads(t *testing.T) {
+	neverFallBack := core.NewBaselineWith(htm.Traits{Retries: 1 << 30})
+	chats, _ := core.New(core.KindCHATS)
+	cases := []struct {
+		name   string
+		policy htm.Policy
+		w      Workload
+		cfg    func(*Config)
+	}{
+		{"cycle-limit", chats, &counterWL{iters: 100}, func(c *Config) { c.CycleLimit = 2000 }},
+		{"cycle-limit-intra", chats, &counterWL{iters: 100}, func(c *Config) {
+			c.CycleLimit = 2000
+			c.IntraWorkers = 4
+		}},
+		{"watchdog", neverFallBack, &counterWL{iters: 10}, func(c *Config) {
+			c.Cores = 4
+			c.WatchdogCycles = 300_000
+			c.Faults = &faults.Plan{Nack: 1}
+		}},
+		{"max-attempts", neverFallBack, &starveWL{}, func(c *Config) {
+			c.Cores = 2
+			c.MaxAttempts = 15
+		}},
+		{"stuck", chats, &lostWakeupWL{}, func(c *Config) { c.Cores = 2 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			tc.cfg(&cfg)
+			m, err := New(cfg, tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			if _, err := m.Run(tc.w); err == nil {
+				t.Fatal("run succeeded, want an error")
+			}
+			assertNoLeak(t, before)
+		})
+	}
+}
+
+// panicWL has thread 3 panic with its own value as it starts, inside
+// the first cycle's batch of thread starts.
+type panicWL struct{ counterWL }
+
+type threadPanic struct{ tid int }
+
+func (w *panicWL) Thread(ctx Ctx, tid int) {
+	if tid == 3 {
+		panic(threadPanic{tid})
+	}
+	w.counterWL.Thread(ctx, tid)
+}
+
+// A workload panic must surface from Machine.Run on the caller's
+// goroutine, serial or with engine workers, and leave no goroutine
+// behind.
+func TestThreadPanicReachesRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := testCfg()
+		cfg.IntraWorkers = workers
+		policy, _ := core.New(core.KindCHATS)
+		m, err := New(cfg, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if rec := recover(); rec != (threadPanic{3}) {
+					t.Fatalf("workers=%d: Run panicked with %v, want threadPanic{3}", workers, rec)
+				}
+			}()
+			m.Run(&panicWL{counterWL{iters: 20}})
+			t.Fatalf("workers=%d: Run returned normally", workers)
+		}()
+		assertNoLeak(t, before)
 	}
 }

@@ -252,6 +252,11 @@ type parState struct {
 	started    bool
 	wg         sync.WaitGroup
 
+	// panicked holds the first panic raised by an event on a worker
+	// goroutine; the coordinator re-raises it after the batch barrier, so
+	// it reaches Run's caller instead of crashing the process.
+	panicked atomic.Pointer[any]
+
 	// Coordinator-only wake throttling. On a host with no spare cores
 	// (GOMAXPROCS=1, or every core busy with sweep cells) the spawned
 	// workers never get scheduled inside a batch window, so unparking
@@ -374,8 +379,17 @@ func (p *parState) workerLoop(id int) {
 }
 
 // work claims domain groups off the shared cursor until the batch is
-// exhausted. Called by workers that joined the open batch.
+// exhausted. Called by workers that joined the open batch. A panicking
+// event ends the worker's share of the batch; its group still counts as
+// done so the barrier closes.
 func (p *parState) work() {
+	defer func() {
+		if rec := recover(); rec != nil {
+			v := rec // declared here so only a panic pays its heap escape
+			p.panicked.CompareAndSwap(nil, &v)
+			p.groupsDone.Add(1)
+		}
+	}()
 	for {
 		t := int(p.cursor.Add(1)) - 1
 		if t >= len(p.groups) {
@@ -633,6 +647,9 @@ func (e *Engine) runBatch(frame []*Event, k, j int) int {
 		runtime.Gosched() // drain late joiners before touching shared state
 	}
 	p.inBatch = false
+	if v := p.panicked.Swap(nil); v != nil {
+		panic(*v)
+	}
 	if p.selfClaims == len(p.groups) {
 		p.workerIdle++
 	} else {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -395,4 +397,35 @@ func TestParallelDeliveryCounterflowSameWave(t *testing.T) {
 				workers, events, waves, serial, refEvents, refWaves, refSerial)
 		}
 	}
+}
+
+// TestParallelWorkerPanicReachesRun pins panic propagation: an event
+// panicking on a worker goroutine must surface from Run on the caller's
+// goroutine, not crash the process. The two panicking events rendezvous
+// first, so one of them runs on a worker whatever the claim order.
+func TestParallelWorkerPanicReachesRun(t *testing.T) {
+	var e Engine
+	e.SetWorkers(2)
+	var started atomic.Int32
+	boom := runnerFunc(func() {
+		started.Add(1)
+		for started.Load() < 2 {
+			runtime.Gosched()
+		}
+		panic("boom")
+	})
+	for d := Domain(1); d <= 4; d++ {
+		r := Runner(runnerFunc(func() {}))
+		if d <= 2 {
+			r = boom
+		}
+		e.NewSched(d).ScheduleRunner(0, r)
+	}
+	defer func() {
+		if rec := recover(); rec != "boom" {
+			t.Fatalf("Run panicked with %v, want boom", rec)
+		}
+	}()
+	e.Run(0)
+	t.Fatal("Run returned normally")
 }

@@ -5,6 +5,12 @@
 // invalidation of SM lines on abort, and a replacement policy that
 // deprioritizes write-set blocks (Section V-A: "the replacement algorithm
 // favors write-set blocks").
+//
+// The hardware clears SM bits at commit and drops SM lines at abort in
+// one step. The model keeps an index of the ways marked SM since the
+// last commit or abort, so CommitSM and GangInvalidateSM visit only the
+// write set, not every way of the cache. MarkSM is the only way to set
+// the bit, which keeps the index complete.
 package cache
 
 import (
@@ -42,11 +48,18 @@ type Entry struct {
 	Tag   mem.Addr // line address; meaningful only when State != Invalid
 	State State
 	Dirty bool // holds data newer than the LLC image (non-speculative)
-	SM    bool // speculatively modified: part of the transaction write set
+	sm    bool // speculatively modified: set only through Cache.MarkSM
 	Spec  bool // received via SpecResp; ownership is a fiction until validated
 	Data  mem.Line
 	lru   uint64
 }
+
+// SM reports whether the line is speculatively modified: part of the
+// transaction write set.
+func (e *Entry) SM() bool { return e.sm }
+
+// ClearSM takes the line out of the write set without committing it.
+func (e *Entry) ClearSM() { e.sm = false }
 
 // Stats counts cache events.
 type Stats struct {
@@ -58,10 +71,15 @@ type Stats struct {
 
 // Cache is a private set-associative cache.
 type Cache struct {
-	sets    [][]Entry
+	lines   []Entry   // every way of every set, set by set
+	sets    [][]Entry // per-set views of lines
 	setMask uint64
 	tick    uint64
-	Stats   Stats
+	// smIdx holds the positions in lines marked SM since the last
+	// CommitSM or GangInvalidateSM. Every SM entry is listed; a listed
+	// entry may since have lost its bit or its line, or be listed twice.
+	smIdx []int32
+	Stats Stats
 }
 
 // New builds a cache of sizeBytes capacity and the given associativity.
@@ -74,10 +92,14 @@ func New(sizeBytes, ways int) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)", nSets, sizeBytes, ways))
 	}
-	c := &Cache{setMask: uint64(nSets - 1)}
-	c.sets = make([][]Entry, nSets)
+	c := &Cache{
+		lines:   make([]Entry, nSets*ways),
+		sets:    make([][]Entry, nSets),
+		setMask: uint64(nSets - 1),
+		smIdx:   make([]int32, 0, nSets*ways),
+	}
 	for i := range c.sets {
-		c.sets[i] = make([]Entry, ways)
+		c.sets[i] = c.lines[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	return c
 }
@@ -88,9 +110,11 @@ func (c *Cache) Ways() int { return len(c.sets[0]) }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return len(c.sets) }
 
-func (c *Cache) set(line mem.Addr) []Entry {
-	return c.sets[(uint64(line)>>mem.LineShift)&c.setMask]
+func (c *Cache) setIndex(line mem.Addr) int {
+	return int((uint64(line) >> mem.LineShift) & c.setMask)
 }
+
+func (c *Cache) set(line mem.Addr) []Entry { return c.sets[c.setIndex(line)] }
 
 // Lookup returns the entry holding line, or nil. It counts a hit or miss
 // and refreshes LRU state on hit.
@@ -165,7 +189,7 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, 
 	// LRU among non-SM lines.
 	best := -1
 	for i := range set {
-		if set[i].SM {
+		if set[i].sm {
 			continue
 		}
 		if best == -1 || set[i].lru < set[best].lru {
@@ -178,7 +202,7 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, 
 		return nil, false, false
 	}
 	v := &Victim{Tag: set[best].Tag, State: set[best].State, Dirty: set[best].Dirty,
-		SM: set[best].SM, Spec: set[best].Spec, Data: set[best].Data}
+		SM: set[best].sm, Spec: set[best].Spec, Data: set[best].Data}
 	set[best] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
 	c.Stats.Evictions++
 	return v, true, true
@@ -199,55 +223,72 @@ func (c *Cache) Invalidate(line mem.Addr) (Entry, bool) {
 	return Entry{}, false
 }
 
+// MarkSM sets the SM bit of the resident line, records its way in the
+// SM index, and returns its entry. It panics if the line is not
+// resident.
+func (c *Cache) MarkSM(line mem.Addr) *Entry {
+	line = line.Line()
+	si := c.setIndex(line)
+	set := c.sets[si]
+	for i := range set {
+		e := &set[i]
+		if e.State != Invalid && e.Tag == line {
+			if !e.sm {
+				e.sm = true
+				c.smIdx = append(c.smIdx, int32(si*len(set)+i))
+			}
+			return e
+		}
+	}
+	panic(fmt.Sprintf("cache: MarkSM of non-resident line %#x", uint64(line)))
+}
+
 // GangInvalidateSM drops every SM line in one shot (the conditional gang
 // invalidation an aborting best-effort transaction performs) and returns
 // how many lines were dropped.
 func (c *Cache) GangInvalidateSM() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			e := &c.sets[si][wi]
-			if e.State != Invalid && e.SM {
-				*e = Entry{}
-				n++
-			}
+	for _, p := range c.smIdx {
+		e := &c.lines[p]
+		if e.State != Invalid && e.sm {
+			*e = Entry{}
+			n++
 		}
 	}
+	c.smIdx = c.smIdx[:0]
 	return n
 }
 
 // CommitSM clears the SM and Spec bits on every write-set line at commit:
 // the speculative values become the architectural ones, held dirty in M.
-// It calls fn for each committed line so the caller can propagate the
-// committed value to the backing image.
+// It calls fn for each committed line, in the order the lines were
+// marked, so the caller can propagate the committed value to the backing
+// image.
 func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			e := &c.sets[si][wi]
-			if e.State != Invalid && e.SM {
-				e.SM = false
-				e.Spec = false
-				e.State = Modified
-				e.Dirty = true
-				n++
-				if fn != nil {
-					fn(e.Tag, e.Data)
-				}
+	for _, p := range c.smIdx {
+		e := &c.lines[p]
+		if e.State != Invalid && e.sm {
+			e.sm = false
+			e.Spec = false
+			e.State = Modified
+			e.Dirty = true
+			n++
+			if fn != nil {
+				fn(e.Tag, e.Data)
 			}
 		}
 	}
+	c.smIdx = c.smIdx[:0]
 	return n
 }
 
 // ForEach visits every valid entry. The callback must not insert or
 // invalidate lines.
 func (c *Cache) ForEach(fn func(e *Entry)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].State != Invalid {
-				fn(&c.sets[si][wi])
-			}
+	for i := range c.lines {
+		if c.lines[i].State != Invalid {
+			fn(&c.lines[i])
 		}
 	}
 }
@@ -256,7 +297,7 @@ func (c *Cache) ForEach(fn func(e *Entry)) {
 func (c *Cache) CountSM() int {
 	n := 0
 	c.ForEach(func(e *Entry) {
-		if e.SM {
+		if e.sm {
 			n++
 		}
 	})

@@ -76,7 +76,7 @@ func TestLRUEviction(t *testing.T) {
 func TestSMLinesResistEviction(t *testing.T) {
 	c := New(2*mem.LineSize*2, 2)
 	c.Insert(lineAddr(0), Modified, mem.Line{})
-	c.Peek(lineAddr(0)).SM = true
+	c.MarkSM(lineAddr(0))
 	c.Insert(lineAddr(2), Shared, mem.Line{})
 	// Line 0 is older but SM: line 2 must be the victim.
 	v, evicted, ok := c.Insert(lineAddr(4), Shared, mem.Line{})
@@ -88,9 +88,9 @@ func TestSMLinesResistEviction(t *testing.T) {
 func TestAllSMOverflow(t *testing.T) {
 	c := New(2*mem.LineSize*2, 2)
 	c.Insert(lineAddr(0), Modified, mem.Line{})
-	c.Peek(lineAddr(0)).SM = true
+	c.MarkSM(lineAddr(0))
 	c.Insert(lineAddr(2), Modified, mem.Line{})
-	c.Peek(lineAddr(2)).SM = true
+	c.MarkSM(lineAddr(2))
 	_, _, ok := c.Insert(lineAddr(4), Shared, mem.Line{})
 	if ok {
 		t.Fatal("expected overflow when set full of SM lines")
@@ -120,7 +120,7 @@ func TestGangInvalidateSM(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c.Insert(lineAddr(i), Modified, mem.Line{})
 		if i%2 == 0 {
-			c.Peek(lineAddr(i)).SM = true
+			c.MarkSM(lineAddr(i))
 		}
 	}
 	if n := c.GangInvalidateSM(); n != 3 {
@@ -140,8 +140,7 @@ func TestGangInvalidateSM(t *testing.T) {
 func TestCommitSM(t *testing.T) {
 	c := New(4*1024, 4)
 	c.Insert(lineAddr(0), Exclusive, mem.Line{42})
-	e := c.Peek(lineAddr(0))
-	e.SM = true
+	e := c.MarkSM(lineAddr(0))
 	e.Spec = true
 	committed := map[mem.Addr]mem.Line{}
 	n := c.CommitSM(func(l mem.Addr, d mem.Line) { committed[l] = d })
@@ -152,7 +151,7 @@ func TestCommitSM(t *testing.T) {
 		t.Fatal("commit callback missing or wrong data")
 	}
 	e = c.Peek(lineAddr(0))
-	if e.SM || e.Spec || e.State != Modified || !e.Dirty {
+	if e.SM() || e.Spec || e.State != Modified || !e.Dirty {
 		t.Fatalf("post-commit entry = %+v", e)
 	}
 }
@@ -214,5 +213,152 @@ func TestStateString(t *testing.T) {
 	}
 	if State(9).String() == "" {
 		t.Fatal("unknown state should still print")
+	}
+}
+
+func TestMarkSMPanicsOnNonResident(t *testing.T) {
+	c := New(4*1024, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	c.MarkSM(lineAddr(5))
+}
+
+// refWalk is the full-walk commit or abort the SM index replaces: it
+// visits every way of lines and returns the count and the committed
+// (commit) or dropped (abort) lines.
+func refWalk(lines []Entry, commit bool) (int, map[mem.Addr]mem.Line) {
+	got := map[mem.Addr]mem.Line{}
+	for i := range lines {
+		e := &lines[i]
+		if e.State == Invalid || !e.sm {
+			continue
+		}
+		got[e.Tag] = e.Data
+		if commit {
+			e.sm, e.Spec, e.State, e.Dirty = false, false, Modified, true
+		} else {
+			*e = Entry{}
+		}
+	}
+	return len(got), got
+}
+
+// Property: over random Insert/Lookup/Invalidate/MarkSM/ClearSM
+// sequences (lines evicted, ways reused by other lines and re-marked),
+// the indexed CommitSM and GangInvalidateSM leave the same cache and
+// report the same lines and count as a walk over every way.
+func TestSMIndexMatchesFullWalk(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := New(2*mem.LineSize*2, 2) // 2 sets, 2 ways
+		check := func(commit bool) bool {
+			ref := append([]Entry(nil), c.lines...)
+			wantN, want := refWalk(ref, commit)
+			got := map[mem.Addr]mem.Line{}
+			var n int
+			if commit {
+				n = c.CommitSM(func(l mem.Addr, d mem.Line) { got[l] = d })
+			} else {
+				for i := range c.lines {
+					if e := &c.lines[i]; e.State != Invalid && e.sm {
+						got[e.Tag] = e.Data
+					}
+				}
+				n = c.GangInvalidateSM()
+			}
+			if n != wantN || len(got) != len(want) || len(c.smIdx) != 0 {
+				return false
+			}
+			for l, d := range want {
+				if got[l] != d {
+					return false
+				}
+			}
+			for i := range ref {
+				if ref[i] != c.lines[i] {
+					return false
+				}
+			}
+			return true
+		}
+		for _, op := range ops {
+			line := lineAddr(int(op/7) % 8)
+			switch op % 7 {
+			case 0:
+				c.Insert(line, Exclusive, mem.Line{uint64(op)})
+			case 1:
+				c.Lookup(line)
+			case 2:
+				c.Invalidate(line)
+			case 3:
+				if c.Peek(line) != nil {
+					c.MarkSM(line).Data[0]++
+				}
+			case 4:
+				if e := c.Peek(line); e != nil {
+					e.ClearSM()
+				}
+			case 5, 6:
+				if !check(op%7 == 6) {
+					return false
+				}
+			}
+		}
+		return check(len(ops)%2 == 0)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var sinkEntry *Entry
+var sinkN int
+
+// l1WithWriteSet returns a full L1 of the Table I geometry (48 KiB,
+// 12-way) and a 4-line write set spread over distinct sets.
+func l1WithWriteSet() (*Cache, []mem.Addr) {
+	c := New(48*1024, 12)
+	lines := c.Sets() * c.Ways()
+	for i := 0; i < lines; i++ {
+		c.Insert(lineAddr(i), Exclusive, mem.Line{})
+	}
+	return c, []mem.Addr{lineAddr(3), lineAddr(17), lineAddr(200), lineAddr(501)}
+}
+
+// BenchmarkCacheLookup times an L1 hit.
+func BenchmarkCacheLookup(b *testing.B) {
+	c, _ := l1WithWriteSet()
+	lines := c.Sets() * c.Ways()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkEntry = c.Lookup(lineAddr(i % lines))
+	}
+}
+
+// BenchmarkCommitSM times marking a 4-line write set and committing it.
+func BenchmarkCommitSM(b *testing.B) {
+	c, ws := l1WithWriteSet()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range ws {
+			c.MarkSM(l)
+		}
+		sinkN = c.CommitSM(nil)
+	}
+}
+
+// BenchmarkGangInvalidateSM times reinstalling and marking a 4-line
+// write set and dropping it as an abort does.
+func BenchmarkGangInvalidateSM(b *testing.B) {
+	c, ws := l1WithWriteSet()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range ws {
+			c.Insert(l, Exclusive, mem.Line{})
+			c.MarkSM(l)
+		}
+		sinkN = c.GangInvalidateSM()
 	}
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chats/internal/mem"
 	"chats/internal/network"
@@ -93,6 +94,14 @@ type sharerSet [MaxCores / 64]uint64
 func (s *sharerSet) set(i int)      { s[i>>6] |= 1 << uint(i&63) }
 func (s *sharerSet) clear(i int)    { s[i>>6] &^= 1 << uint(i&63) }
 func (s *sharerSet) has(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
+
+func (s *sharerSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 func (s *sharerSet) empty() bool {
 	for _, w := range s {
@@ -879,12 +888,9 @@ func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 // grant; any refusal (speculative forwarding by a reader) → SpecResp with
 // the committed data and the minimum producer PiC; any nack → RespNack.
 func (b *dirBank) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp RespHandler) {
-	count := 0
-	for i := range b.d.cores {
-		if l.sharers.has(i) && i != req.ID {
-			count++
-		}
-	}
+	targets := l.sharers
+	targets.clear(req.ID)
+	count := targets.count()
 	if count == 0 {
 		panic("coherence: collectInvs with no targets")
 	}
@@ -897,13 +903,16 @@ func (b *dirBank) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp R
 	c.refused = false
 	c.nacked = false
 	c.minPiC = PiC(127)
-	for i := range b.d.cores {
-		if !l.sharers.has(i) || i == req.ID {
-			continue
+	// Probe in ascending core order: the send order fixes the probes'
+	// event sequence numbers, and with them every simulated result.
+	for w, word := range targets {
+		for word != 0 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			b.stats.Invs++
+			t := b.newInvT(c, i)
+			b.ep.SendControlMsg(b.d.coreDom(i), t)
 		}
-		b.stats.Invs++
-		t := b.newInvT(c, i)
-		b.ep.SendControlMsg(b.d.coreDom(i), t)
 	}
 }
 

@@ -450,3 +450,86 @@ func TestProbeKindStrings(t *testing.T) {
 		t.Fatal("unknown kind should still print")
 	}
 }
+
+// TestWideGetXProbesEachOtherSharerInOrder: a GetX against 255 sharers
+// sends one Inv probe to every sharer but the requester, in ascending
+// core order, whether or not the requester is itself a sharer.
+func TestWideGetXProbesEachOtherSharerInOrder(t *testing.T) {
+	for _, requester := range []int{MaxCores - 1, 100} {
+		r := newRig(MaxCores)
+		line := mem.Addr(0x40)
+		var order []int
+		for id, c := range r.cores {
+			c.onProbe = func(p Probe) {
+				if p.Kind == InvProbe {
+					order = append(order, id)
+				}
+				p.ReplyData(mem.Line{})
+			}
+		}
+		for id := 0; id < MaxCores-1; id++ {
+			r.request(t, false, line, id)
+		}
+		resp := r.request(t, true, line, requester)
+		if resp.Kind != RespData || !resp.Excl {
+			t.Fatalf("requester %d: resp = %+v", requester, resp)
+		}
+		var want []int
+		for id := 0; id < MaxCores-1; id++ {
+			if id != requester {
+				want = append(want, id)
+			}
+		}
+		if len(order) != len(want) {
+			t.Fatalf("requester %d: %d Inv probes, want %d", requester, len(order), len(want))
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("requester %d: probe %d went to core %d, want %d", requester, i, order[i], want[i])
+			}
+		}
+		if invs := r.dir.TotalStats().Invs; invs != uint64(len(want)) {
+			t.Fatalf("requester %d: counted %d invalidations, want %d", requester, invs, len(want))
+		}
+	}
+}
+
+// replyCore answers every probe with data at once.
+type replyCore struct{}
+
+func (replyCore) HandleProbe(p Probe) { p.ReplyData(mem.Line{}) }
+
+// BenchmarkGetXInvalidate255 times a GetX from core 255 against a line
+// shared by the other 255 cores, run to completion: one Inv probe and
+// reply per sharer, then the exclusive grant and unblock.
+func BenchmarkGetXInvalidate255(b *testing.B) {
+	var eng sim.Engine
+	net := network.New(&eng, 1)
+	dir := NewDirectory(&eng, net, mem.NewMemory(), Config{LLCLatency: 30, DRAMLatency: 100})
+	cores := make([]Core, MaxCores)
+	for i := range cores {
+		cores[i] = replyCore{}
+	}
+	dir.AttachCores(cores)
+	line := mem.Addr(0x40)
+	l := dir.bankFor(line).line(line)
+	req := ReqInfo{ID: MaxCores - 1}
+	h := RespFunc(func(resp Resp) {
+		if resp.Kind != RespData {
+			b.Fatalf("resp = %+v", resp)
+		}
+		dir.SendUnblock(line)
+	})
+	getX := func() { dir.GetX(line, req, h) }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.state, l.owner = dirS, -1
+		for id := 0; id < MaxCores-1; id++ {
+			l.sharers.set(id)
+		}
+		net.SendControl(getX)
+		if _, err := eng.Run(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -114,9 +114,10 @@ type TxState struct {
 	// Read signature: perfect (no false positives), tracks line
 	// addresses, survives cache evictions (Section VI-B).
 	ReadSig map[mem.Addr]struct{}
-	// WriteSet tracks line addresses speculatively written (the lines
-	// themselves live in L1 with the SM bit; this mirror makes conflict
-	// checks O(1) and survives nothing — it is cleared with the tx).
+	// WriteSet tracks line addresses speculatively written, for O(1)
+	// conflict checks. The lines themselves live in L1 with the SM bit,
+	// and commit and abort walk the L1's own SM index, not this mirror.
+	// It is cleared with the tx.
 	WriteSet map[mem.Addr]struct{}
 
 	// CHATS hardware (Fig. 2).

@@ -98,3 +98,57 @@ func BenchmarkThreadOpRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// txLoopWL has thread 0 run n transactions that increment one private
+// word: after the first miss each attempt is a begin, an L1-hit load, a
+// store to an already-owned line and a commit, with no conflicts.
+type txLoopWL struct {
+	n    int
+	addr mem.Addr
+}
+
+func (w *txLoopWL) Name() string { return "tx-loop" }
+func (w *txLoopWL) Setup(wd *World, threads int) {
+	w.addr = wd.Alloc.LineAligned(1)
+}
+func (w *txLoopWL) Thread(ctx Ctx, tid int) {
+	body := func(tx Tx) { tx.Store(w.addr, tx.Load(w.addr)+1) }
+	for i := 0; i < w.n; i++ {
+		ctx.Atomic(body)
+	}
+}
+func (w *txLoopWL) Check(*World) error { return nil }
+
+// TestTxAttemptZeroAllocs pins the steady-state begin/commit path at
+// zero allocations per attempt: a run of n+extra transactions allocates
+// exactly as much as a run of n, so every allocation is per-run set-up.
+func TestTxAttemptZeroAllocs(t *testing.T) {
+	policy, err := core.New(core.KindBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg()
+	cfg.Cores = 1
+	runAllocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			m, err := New(cfg, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &txLoopWL{n: n}
+			st, err := m.Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Commits != uint64(n) {
+				t.Fatalf("%d commits, want %d", st.Commits, n)
+			}
+		})
+	}
+	const n, extra = 100, 1000
+	base, more := runAllocs(n), runAllocs(n+extra)
+	if per := (more - base) / extra; per != 0 {
+		t.Fatalf("%.3f allocations per transaction attempt (%.0f for %d txs, %.0f for %d), want 0",
+			per, base, n, more, n+extra)
+	}
+}

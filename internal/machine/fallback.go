@@ -371,17 +371,14 @@ func (s *stmTx) holdsLock(va mem.Addr) bool {
 // stmHandle is the Tx the body sees on the STM path: loads snapshot
 // word versions and values, stores buffer into the write set. All
 // simulated accesses are plain (non-transactional) ops.
-type stmHandle struct {
-	t *tctx
-	s *stmTx
-}
+type stmHandle struct{ t *tctx }
 
-func (h stmHandle) TID() int        { return h.t.tid }
-func (h stmHandle) Rand() *sim.Rand { return h.t.rng }
-func (h stmHandle) Fallback() bool  { return true }
+func (h *stmHandle) TID() int        { return h.t.tid }
+func (h *stmHandle) Rand() *sim.Rand { return h.t.rng }
+func (h *stmHandle) Fallback() bool  { return true }
 
-func (h stmHandle) Load(a mem.Addr) uint64 {
-	s := h.s
+func (h *stmHandle) Load(a mem.Addr) uint64 {
+	s := h.t.stm
 	s.bump()
 	if v, ok := s.writeVals[a]; ok {
 		// Read-own-write: served from the buffer, one cycle.
@@ -405,8 +402,8 @@ func (h stmHandle) Load(a mem.Addr) uint64 {
 	return v
 }
 
-func (h stmHandle) Store(a mem.Addr, v uint64) {
-	s := h.s
+func (h *stmHandle) Store(a mem.Addr, v uint64) {
+	s := h.t.stm
 	s.bump()
 	if _, ok := s.writeVals[a]; !ok {
 		s.writeAddrs = append(s.writeAddrs, a)
@@ -415,7 +412,7 @@ func (h stmHandle) Store(a mem.Addr, v uint64) {
 	h.t.do(opReq{kind: opWork, val: 1}) // buffered: one cycle, no traffic
 }
 
-func (h stmHandle) Work(n uint64) {
+func (h *stmHandle) Work(n uint64) {
 	h.t.do(opReq{kind: opWork, val: n})
 }
 
@@ -458,7 +455,7 @@ func (t *tctx) runSTMBody(body func(Tx)) (ok bool) {
 			ok = false
 		}
 	}()
-	body(stmHandle{t: t, s: t.stm})
+	body(&t.stmH)
 	return true
 }
 

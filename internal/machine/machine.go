@@ -306,7 +306,7 @@ func (m *Machine) flushCaches() {
 			panic("machine: transaction still active after run")
 		}
 		n.l1.ForEach(func(e *cache.Entry) {
-			if e.SM {
+			if e.SM() {
 				panic("machine: speculative line survived the run")
 			}
 			if e.Dirty {

@@ -155,8 +155,13 @@ func (n *Node) install(line mem.Addr, st cache.State, data mem.Line, sm, spec bo
 	if !ok {
 		return false
 	}
-	e := n.l1.Peek(line)
-	e.SM = sm
+	var e *cache.Entry
+	if sm {
+		e = n.l1.MarkSM(line)
+	} else {
+		e = n.l1.Peek(line)
+		e.ClearSM()
+	}
 	e.Spec = spec
 	e.Dirty = false
 	if evicted {
@@ -572,7 +577,7 @@ func (n *Node) store1(c *access) {
 	}
 	if e != nil {
 		switch {
-		case e.SM:
+		case e.SM():
 			// Already in the write set (possibly a spec-received fiction).
 			e.Data[a.WordIndex()] = v
 			c.sd.onStoreDone(false)
@@ -590,7 +595,7 @@ func (n *Node) store1(c *access) {
 					n.ep.SendDataMsg(n.m.dir.BankDomain(line), c)
 					return
 				}
-				e.SM = true
+				n.l1.MarkSM(line)
 				n.tx.AddWrite(line)
 				e.Data[a.WordIndex()] = v
 			} else {
@@ -632,11 +637,12 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 			}
 			panic("machine: non-transactional install failed")
 		}
-		e := n.l1.Peek(line)
+		var e *cache.Entry
 		if inTx {
-			e.SM = true
+			e = n.l1.MarkSM(line)
 			n.tx.AddWrite(line)
 		} else {
+			e = n.l1.Peek(line)
 			e.Dirty = true
 		}
 		e.Data[a.WordIndex()] = v
@@ -714,7 +720,7 @@ func (n *Node) cas1(c *access) {
 			e = re
 		}
 	}
-	if e != nil && (e.State == cache.Modified || e.State == cache.Exclusive) && !e.SM {
+	if e != nil && (e.State == cache.Modified || e.State == cache.Exclusive) && !e.SM() {
 		prev := e.Data[a.WordIndex()]
 		if prev == old {
 			e.State = cache.Modified

@@ -104,7 +104,7 @@ func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 		}
 		return
 	}
-	if e.SM {
+	if e.SM() {
 		panic("machine: normal reply would leak speculative data")
 	}
 	switch p.Kind {

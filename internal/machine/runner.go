@@ -172,6 +172,11 @@ type tctx struct {
 	// remaining retry budget.
 	stm   *stmTx
 	elide int
+
+	// The Tx handles the body sees on the speculative, global-lock and
+	// STM paths, built once so passing one to a body does not allocate.
+	spec, lock txHandle
+	stmH       stmHandle
 }
 
 // finish completes the pending op: store the reply and resume the
@@ -281,6 +286,9 @@ func (r *runner) run(w Workload) error {
 			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
+		t.spec = txHandle{t: t}
+		t.lock = txHandle{t: t, fallback: true}
+		t.stmH = stmHandle{t: t}
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
 		}
@@ -610,7 +618,7 @@ func (t *tctx) runSpec(body func(Tx)) (committed bool, cause htm.AbortCause) {
 			cause = rep.cause
 		}
 	}()
-	body(txHandle{t: t})
+	body(&t.spec)
 	rep := t.do(opReq{kind: opCommit})
 	if rep.aborted {
 		return false, rep.cause
@@ -633,7 +641,7 @@ func (t *tctx) fallbackLock(body func(Tx)) {
 		t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
 	}
 	t.do(opReq{kind: opEnterFallback})
-	body(txHandle{t: t, fallback: true})
+	body(&t.lock)
 	t.do(opReq{kind: opExitFallback})
 	t.do(opReq{kind: opStore, addr: la, val: 0})
 }
@@ -645,11 +653,11 @@ type txHandle struct {
 	fallback bool
 }
 
-func (h txHandle) TID() int        { return h.t.tid }
-func (h txHandle) Rand() *sim.Rand { return h.t.rng }
-func (h txHandle) Fallback() bool  { return h.fallback }
+func (h *txHandle) TID() int        { return h.t.tid }
+func (h *txHandle) Rand() *sim.Rand { return h.t.rng }
+func (h *txHandle) Fallback() bool  { return h.fallback }
 
-func (h txHandle) Load(a mem.Addr) uint64 {
+func (h *txHandle) Load(a mem.Addr) uint64 {
 	rep := h.t.do(opReq{kind: opLoad, addr: a, inTx: !h.fallback})
 	if rep.aborted {
 		panic(txAbort{})
@@ -657,14 +665,14 @@ func (h txHandle) Load(a mem.Addr) uint64 {
 	return rep.val
 }
 
-func (h txHandle) Store(a mem.Addr, v uint64) {
+func (h *txHandle) Store(a mem.Addr, v uint64) {
 	rep := h.t.do(opReq{kind: opStore, addr: a, val: v, inTx: !h.fallback})
 	if rep.aborted {
 		panic(txAbort{})
 	}
 }
 
-func (h txHandle) Work(n uint64) {
+func (h *txHandle) Work(n uint64) {
 	rep := h.t.do(opReq{kind: opWork, val: n, inTx: !h.fallback})
 	if rep.aborted {
 		panic(txAbort{})

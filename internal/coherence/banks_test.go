@@ -359,3 +359,59 @@ func TestGlobalForceNackStillCoversAllBanks(t *testing.T) {
 		t.Fatalf("nack accounting: per-bank %d, total %d", nacks, r.dir.TotalStats().Nacks)
 	}
 }
+
+// TestDirLinePointerStable pins that a bank's line table hands out
+// entries that survive its growth: flows hold a *dirLine across events,
+// so touching a line far above the table must not move existing ones.
+func TestDirLinePointerStable(t *testing.T) {
+	r := newBankedRig(2, 4)
+	lineA := mem.Addr(0x40)
+	b := r.dir.bankFor(lineA)
+	before := b.line(lineA)
+	before.owner = 1
+	size := len(b.lines)
+	far := lineA + mem.Addr(64*size*r.dir.NumBanks()*mem.LineSize)
+	if r.dir.bankFor(far) != b {
+		t.Fatal("far line landed in another bank")
+	}
+	b.line(far)
+	if len(b.lines) <= size {
+		t.Fatalf("table did not grow: %d -> %d entries", size, len(b.lines))
+	}
+	if got := b.line(lineA); got != before || got.owner != 1 {
+		t.Fatalf("line() after growth = %p (owner %d), want %p", got, got.owner, before)
+	}
+}
+
+// TestBankLinesCounts pins BankLines per bank at 1, 4 and 16 banks:
+// each line counts once in its own bank, however often it is touched.
+func TestBankLinesCounts(t *testing.T) {
+	for _, banks := range []int{1, 4, 16} {
+		r := newBankedRig(1, banks)
+		want := make([]int, banks)
+		for i := 1; i <= 40; i++ {
+			a := mem.Addr(i * i * mem.LineSize) // distinct lines, uneven spread
+			r.dir.bankFor(a).line(a)
+			r.dir.bankFor(a + 8).line(a + 8) // same line, other word
+			want[r.dir.BankIndex(a)]++
+		}
+		for b := range want {
+			if got := r.dir.BankLines(b); got != want[b] {
+				t.Errorf("banks=%d: BankLines(%d) = %d, want %d", banks, b, got, want[b])
+			}
+		}
+	}
+}
+
+// TestLineAboveMaxAddrPanics pins that a request outside the simulated
+// address space fails loudly instead of growing a bank's line table
+// toward it.
+func TestLineAboveMaxAddrPanics(t *testing.T) {
+	r := newBankedRig(1, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("line at mem.MaxAddr did not panic")
+		}
+	}()
+	r.dir.bankFor(mem.MaxAddr).line(mem.MaxAddr)
+}

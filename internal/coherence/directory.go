@@ -15,7 +15,7 @@ const MaxCores = 256
 
 // MaxBanks caps the bank count at the memory shard count, so two lines
 // owned by different banks always live in different mem.Memory shards
-// and concurrently executing banks never share a map.
+// and concurrently executing banks never share a shard's arrays.
 const MaxBanks = 256
 
 // Config holds the directory/memory timing parameters (Table I) and the
@@ -153,8 +153,14 @@ type dirBank struct {
 	dom   sim.Domain
 	sched sim.Sched
 	ep    network.Endpoint
-	lines map[mem.Addr]*dirLine
-	stats Stats
+	// lines is indexed by line index >> log2(banks), the bank's own
+	// dense numbering of the lines hashing to it. Entries are allocated
+	// one by one and never move: in-flight flows hold *dirLine across
+	// events while the table grows.
+	lines     []*dirLine
+	lineShift uint // mem.LineShift + log2(banks)
+	nlines    int  // non-nil entries in lines
+	stats     Stats
 
 	// Free lists for the pooled flow/message objects below. Every
 	// request hop used to capture its state in a fresh closure; the
@@ -205,6 +211,7 @@ func NewDirectory(eng *sim.Engine, net *network.Network, memory *mem.Memory, cfg
 		panic(fmt.Sprintf("coherence: bank count %d not a power of two in [1, %d]", nbanks, MaxBanks))
 	}
 	d := &Directory{eng: eng, net: net, memory: memory, cfg: cfg}
+	lineShift := uint(mem.LineShift + bits.TrailingZeros(uint(nbanks)))
 	for i := 0; i < nbanks; i++ {
 		dom := sim.DomainSerial
 		if cfg.FirstDomain != sim.DomainSerial {
@@ -212,12 +219,12 @@ func NewDirectory(eng *sim.Engine, net *network.Network, memory *mem.Memory, cfg
 		}
 		sched := eng.NewSched(dom)
 		d.banks = append(d.banks, &dirBank{
-			d:     d,
-			idx:   i,
-			dom:   dom,
-			sched: sched,
-			ep:    net.NewEndpoint(sched),
-			lines: make(map[mem.Addr]*dirLine),
+			d:         d,
+			idx:       i,
+			dom:       dom,
+			sched:     sched,
+			ep:        net.NewEndpoint(sched),
+			lineShift: lineShift,
 		})
 	}
 	return d
@@ -275,7 +282,7 @@ func (d *Directory) BankStats(bank int) Stats { return d.banks[bank].stats }
 
 // BankLines returns how many distinct lines bank tracks, a cheap
 // occupancy measure for the per-bank load reports.
-func (d *Directory) BankLines(bank int) int { return len(d.banks[bank].lines) }
+func (d *Directory) BankLines(bank int) int { return d.banks[bank].nlines }
 
 // NetShards folds the per-bank endpoint counters into the network
 // totals; the machine calls it once after a run.
@@ -285,12 +292,22 @@ func (d *Directory) NetShards() {
 	}
 }
 
+// line returns the state of the line containing a, creating it (and
+// growing the table by doubling) on first touch.
 func (b *dirBank) line(a mem.Addr) *dirLine {
-	a = a.Line()
-	l, ok := b.lines[a]
-	if !ok {
+	if a >= mem.MaxAddr {
+		panic(fmt.Sprintf("coherence: request for %v, at or above mem.MaxAddr %v", a, mem.MaxAddr))
+	}
+	i := int(a >> b.lineShift)
+	if i >= len(b.lines) {
+		n := max(2*len(b.lines), i+1)
+		b.lines = append(b.lines, make([]*dirLine, n-len(b.lines))...)
+	}
+	l := b.lines[i]
+	if l == nil {
 		l = &dirLine{state: dirI, owner: -1}
-		b.lines[a] = l
+		b.lines[i] = l
+		b.nlines++
 	}
 	return l
 }

@@ -533,3 +533,19 @@ func BenchmarkGetXInvalidate255(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDirLineLookup times the per-request dirBank.line hit on a
+// one-bank directory over a 32k-line footprint (vacation's), every line
+// already present.
+func BenchmarkDirLineLookup(b *testing.B) {
+	const lines = 32 << 10
+	bank := newRig(1).dir.banks[0]
+	for i := 1; i <= lines; i++ {
+		bank.line(mem.Addr(i * mem.LineSize))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.line(mem.Addr(((i*7919)&(lines-1) + 1) * mem.LineSize))
+	}
+}

@@ -1,10 +1,20 @@
 // Package mem models the simulated physical address space: 64-byte cache
-// lines of eight 64-bit words, a sparse backing store holding the
-// committed (architectural) value of every line, and a bump allocator for
-// building workload data structures in simulated memory.
+// lines of eight 64-bit words, a backing store holding the committed
+// (architectural) value of every line, and a bump allocator for building
+// workload data structures in simulated memory.
+//
+// The backing store is 256 shards of dense line-indexed arrays: slot i
+// of shard s holds line index i*256 + s, and a shard at least doubles
+// when a write lands past its end. The address space is bounded by
+// MaxAddr (4 GiB): writes at or above it panic, the Allocator panics
+// rather than hand out an address past it, and reads above it return
+// zero, so one shard never exceeds 16 MiB.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const (
 	// LineSize is the cache line size in bytes (Table I: 64-byte lines).
@@ -40,8 +50,19 @@ type Line [WordsPerLine]uint64
 // power-of-two bank count <= numShards selects banks from the same low
 // line-index bits LineShard uses, two lines owned by different directory
 // banks always live in different memory shards, so concurrently
-// executing banks never touch the same map.
-const numShards = 256
+// executing banks never touch the same shard's arrays.
+const (
+	numShards  = 256
+	shardShift = 8 // log2(numShards)
+	// slotShift turns an address into its slot within its shard.
+	slotShift = LineShift + shardShift
+)
+
+// MaxAddr bounds the simulated address space: writes at or above it
+// panic, the Allocator never hands out an address reaching past it, and
+// reads above it return zero like any line never written. It caps one
+// shard's dense array at MaxAddr/LineSize/numShards lines (16 MiB).
+const MaxAddr Addr = 1 << 32
 
 // LineShard returns the shard index in [0, shards) of the line
 // containing a. shards must be a power of two. This is the one address
@@ -52,6 +73,22 @@ func LineShard(a Addr, shards int) int {
 	return int((uint64(a) >> LineShift) & uint64(shards-1))
 }
 
+// shard holds the lines whose index is congruent to its position modulo
+// numShards, densely: slot i is line index i*numShards + shard.
+type shard struct {
+	lines   []Line
+	written []uint64 // bit i set once slot i has been written
+}
+
+// grow extends the shard to hold slot i, at least doubling its length.
+func (s *shard) grow(i int) {
+	n := max(2*len(s.lines), i+1)
+	s.lines = append(s.lines, make([]Line, n-len(s.lines))...)
+	if w := (n + 63) / 64; w > len(s.written) {
+		s.written = append(s.written, make([]uint64, w-len(s.written))...)
+	}
+}
+
 // Memory is the simulated backing store. It always holds the latest
 // committed value of every line (the simulator maintains the invariant
 // that any speculatively modified cache copy has its committed version
@@ -59,84 +96,87 @@ func LineShard(a Addr, shards int) int {
 //
 // The store is internally sharded by LineShard so that directory banks
 // executing in distinct parallel domains (which by construction touch
-// lines of distinct shards) never race on one Go map.
+// lines of distinct shards) never race on one shard. Each shard is a
+// dense array indexed by line number, so no line is allocated on its
+// own.
 type Memory struct {
-	shards [numShards]map[Addr]*Line
+	shards [numShards]shard
 }
 
 // NewMemory returns an empty simulated memory. Untouched lines read as
 // zero.
-func NewMemory() *Memory {
-	m := new(Memory)
-	for i := range m.shards {
-		m.shards[i] = make(map[Addr]*Line)
+func NewMemory() *Memory { return new(Memory) }
+
+// line returns the committed line containing a, or nil past the end of
+// its shard. Either way a line never written reads as zero.
+func (m *Memory) line(a Addr) *Line {
+	s := &m.shards[LineShard(a, numShards)]
+	if i := uint64(a) >> slotShift; i < uint64(len(s.lines)) {
+		return &s.lines[i]
 	}
-	return m
+	return nil
 }
 
-// shard returns the map holding a's line.
-func (m *Memory) shard(la Addr) map[Addr]*Line {
-	return m.shards[LineShard(la, numShards)]
+// writable returns the line containing a for writing, growing its shard
+// and marking the line written. It panics at or above MaxAddr.
+func (m *Memory) writable(a Addr) *Line {
+	if a >= MaxAddr {
+		panic(fmt.Sprintf("mem: write at %v, at or above MaxAddr %v", a, MaxAddr))
+	}
+	s := &m.shards[LineShard(a, numShards)]
+	i := int(a >> slotShift)
+	if i >= len(s.lines) {
+		s.grow(i)
+	}
+	s.written[i/64] |= 1 << (i % 64)
+	return &s.lines[i]
 }
 
 // ReadLine returns a copy of the line containing a.
 func (m *Memory) ReadLine(a Addr) Line {
-	la := a.Line()
-	if l, ok := m.shard(la)[la]; ok {
+	if l := m.line(a); l != nil {
 		return *l
 	}
 	return Line{}
 }
 
 // WriteLine replaces the line containing a with l.
-func (m *Memory) WriteLine(a Addr, l Line) {
-	la := a.Line()
-	s := m.shard(la)
-	p, ok := s[la]
-	if !ok {
-		p = new(Line)
-		s[la] = p
-	}
-	*p = l
-}
+func (m *Memory) WriteLine(a Addr, l Line) { *m.writable(a) = l }
 
 // ReadWord returns the committed word at a (a must be word aligned).
 func (m *Memory) ReadWord(a Addr) uint64 {
-	la := a.Line()
-	if l, ok := m.shard(la)[la]; ok {
+	if l := m.line(a); l != nil {
 		return l[a.WordIndex()]
 	}
 	return 0
 }
 
 // WriteWord sets the committed word at a.
-func (m *Memory) WriteWord(a Addr, v uint64) {
-	la := a.Line()
-	s := m.shard(la)
-	p, ok := s[la]
-	if !ok {
-		p = new(Line)
-		s[la] = p
-	}
-	p[a.WordIndex()] = v
-}
+func (m *Memory) WriteWord(a Addr, v uint64) { m.writable(a)[a.WordIndex()] = v }
 
 // Touched returns the number of distinct lines ever written.
 func (m *Memory) Touched() int {
 	n := 0
 	for i := range m.shards {
-		n += len(m.shards[i])
+		for _, w := range m.shards[i].written {
+			n += bits.OnesCount64(w)
+		}
 	}
 	return n
 }
 
-// ForEachLine calls fn with a copy of every line ever written, in
-// unspecified order. Callers needing determinism must sort the addresses
-// themselves (the invariant checker's shadow memory does).
+// ForEachLine calls fn with a copy of every line ever written, shard by
+// shard. The order is fixed but is not address order: callers needing
+// addresses sorted must sort them themselves (the invariant checker's
+// shadow memory does).
 func (m *Memory) ForEachLine(fn func(a Addr, l Line)) {
-	for i := range m.shards {
-		for a, l := range m.shards[i] {
-			fn(a, *l)
+	for sh := range m.shards {
+		s := &m.shards[sh]
+		for w, word := range s.written {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				fn(Addr(i<<slotShift|sh<<LineShift), s.lines[i])
+			}
 		}
 	}
 }
@@ -161,35 +201,31 @@ func NewAllocator(base Addr) *Allocator {
 
 // Words allocates n words, word-aligned, and returns the base address.
 func (al *Allocator) Words(n int) Addr {
-	if n <= 0 {
-		panic("mem: Words called with n <= 0")
-	}
-	a := al.next
-	al.next += Addr(n * WordSize)
-	return a
+	return al.bump("Words", al.next, n, WordSize)
 }
 
 // Lines allocates n whole cache lines, line-aligned.
 func (al *Allocator) Lines(n int) Addr {
-	if n <= 0 {
-		panic("mem: Lines called with n <= 0")
-	}
-	al.next = (al.next + LineSize - 1).Line()
-	a := al.next
-	al.next += Addr(n * LineSize)
-	return a
+	return al.bump("Lines", (al.next + LineSize - 1).Line(), n, LineSize)
 }
 
 // LineAligned allocates n words starting at a fresh line boundary. Use it
 // for records that must not share a line with unrelated data (avoids
 // false sharing in workloads that want isolation).
 func (al *Allocator) LineAligned(nWords int) Addr {
-	if nWords <= 0 {
-		panic("mem: LineAligned called with nWords <= 0")
+	return al.bump("LineAligned", (al.next + LineSize - 1).Line(), nWords, WordSize)
+}
+
+// bump hands out n units of size bytes starting at a. It panics if n is
+// not positive or the span would reach past MaxAddr.
+func (al *Allocator) bump(what string, a Addr, n, size int) Addr {
+	if n <= 0 {
+		panic(fmt.Sprintf("mem: %s called with n <= 0", what))
 	}
-	al.next = (al.next + LineSize - 1).Line()
-	a := al.next
-	al.next += Addr(nWords * WordSize)
+	if a > MaxAddr || uint64(n) > uint64(MaxAddr-a)/uint64(size) {
+		panic(fmt.Sprintf("mem: %s(%d) at %v reaches past MaxAddr %v", what, n, a, MaxAddr))
+	}
+	al.next = a + Addr(n*size)
 	return a
 }
 

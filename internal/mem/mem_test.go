@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +195,189 @@ func TestTouched(t *testing.T) {
 	m.WriteLine(128, Line{}) // new line even if zero
 	if got := m.Touched(); got != 3 {
 		t.Fatalf("Touched = %d, want 3", got)
+	}
+}
+
+// memOp is one step of a random Memory access sequence.
+type memOp struct {
+	kind int // 0 WriteWord, 1 WriteLine, 2 ReadWord, 3 ReadLine
+	a    Addr
+	l    Line // WriteLine value; l[0] is WriteWord's
+}
+
+type memOps []memOp
+
+// Generate builds sequences whose writes span every shard and cross its
+// growth boundaries (slots up to 255, in any order), a quarter of them
+// with all-zero values, half of all steps revisiting an earlier line, and
+// some reads probing far above anything written, past MaxAddr.
+func (memOps) Generate(r *rand.Rand, size int) reflect.Value {
+	ops := make(memOps, r.Intn(8*size+1))
+	for i := range ops {
+		op := &ops[i]
+		op.kind = r.Intn(4)
+		line := uint64(r.Intn(256 << shardShift))
+		switch {
+		case i > 0 && r.Intn(2) == 0: // revisit an earlier line
+			if prev := ops[r.Intn(i)].a; op.kind >= 2 || prev < MaxAddr {
+				line = uint64(prev >> LineShift)
+			}
+		case op.kind >= 2 && r.Intn(4) == 0:
+			line = r.Uint64() >> LineShift
+		}
+		op.a = Addr(line<<LineShift) + Addr(r.Intn(WordsPerLine)*WordSize)
+		if r.Intn(4) != 0 {
+			for w := range op.l {
+				op.l[w] = r.Uint64()
+			}
+		}
+	}
+	return reflect.ValueOf(ops)
+}
+
+// Property: Memory agrees with a map reference model on every read, on
+// Touched, and on the set of lines ForEachLine visits.
+func TestMemoryMatchesMapModel(t *testing.T) {
+	f := func(ops memOps) bool {
+		m := NewMemory()
+		model := make(map[Addr]Line)
+		for _, op := range ops {
+			la := op.a.Line()
+			switch op.kind {
+			case 0:
+				m.WriteWord(op.a, op.l[0])
+				l := model[la]
+				l[op.a.WordIndex()] = op.l[0]
+				model[la] = l
+			case 1:
+				m.WriteLine(op.a, op.l)
+				model[la] = op.l
+			case 2:
+				if got := m.ReadWord(op.a); got != model[la][op.a.WordIndex()] {
+					t.Logf("ReadWord(%v) = %d, model %d", op.a, got, model[la][op.a.WordIndex()])
+					return false
+				}
+			case 3:
+				if got := m.ReadLine(op.a); got != model[la] {
+					t.Logf("ReadLine(%v) = %v, model %v", op.a, got, model[la])
+					return false
+				}
+			}
+		}
+		if m.Touched() != len(model) {
+			t.Logf("Touched = %d, model has %d lines", m.Touched(), len(model))
+			return false
+		}
+		seen := make(map[Addr]bool)
+		ok := true
+		m.ForEachLine(func(a Addr, l Line) {
+			want, in := model[a]
+			if !in || seen[a] || l != want {
+				t.Logf("ForEachLine visited %v (in model %v, again %v): %v, want %v", a, in, seen[a], l, want)
+				ok = false
+			}
+			seen[a] = true
+		})
+		return ok && len(seen) == len(model)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustPanic runs fn and returns its panic message, failing if it does
+// not panic.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic")
+		}
+		msg, _ = r.(string)
+	}()
+	fn()
+	return ""
+}
+
+func TestWriteAtMaxAddrPanics(t *testing.T) {
+	m := NewMemory()
+	m.WriteWord(MaxAddr-WordSize, 7) // the last word is writable
+	if m.ReadWord(MaxAddr-WordSize) != 7 {
+		t.Fatal("last word below MaxAddr lost")
+	}
+	if msg := mustPanic(t, func() { m.WriteWord(MaxAddr, 1) }); !strings.Contains(msg, MaxAddr.String()) {
+		t.Errorf("WriteWord panic %q does not name the address", msg)
+	}
+	far := MaxAddr + 5*LineSize
+	if msg := mustPanic(t, func() { m.WriteLine(far, Line{1}) }); !strings.Contains(msg, far.String()) {
+		t.Errorf("WriteLine panic %q does not name the address", msg)
+	}
+	slots := func() (n int) {
+		for i := range m.shards {
+			n += len(m.shards[i].lines)
+		}
+		return n
+	}
+	before := slots()
+	if m.ReadWord(MaxAddr) != 0 || m.ReadLine(far) != (Line{}) || m.ReadWord(MaxAddr/2) != 0 {
+		t.Fatal("lines never written must read as zero")
+	}
+	if m.Touched() != 1 || slots() != before {
+		t.Fatalf("reads wrote: Touched = %d, slots %d -> %d", m.Touched(), before, slots())
+	}
+}
+
+func TestAllocatorStopsAtMaxAddr(t *testing.T) {
+	al := NewAllocator(MaxAddr - 2*LineSize)
+	if a := al.Lines(2); a+2*LineSize != MaxAddr {
+		t.Fatalf("Lines(2) = %v, want the last two lines below MaxAddr", a)
+	}
+	mustPanic(t, func() { al.Words(1) })
+
+	al = NewAllocator(MaxAddr - LineSize)
+	al.Words(7)
+	if msg := mustPanic(t, func() { al.LineAligned(WordsPerLine + 1) }); !strings.Contains(msg, "MaxAddr") {
+		t.Errorf("panic %q does not name MaxAddr", msg)
+	}
+	mustPanic(t, func() { NewAllocator(LineSize).Lines(int(MaxAddr / LineSize)) })
+}
+
+// benchLines is the benchmark footprint: 32k lines (2 MiB), the size of
+// vacation's, laid out from the bump allocator's first line.
+const benchLines = 32 << 10
+
+// benchAddr scatters the i-th access over the footprint.
+func benchAddr(i int) Addr {
+	return LineSize + Addr((i*7919)&(benchLines-1))*LineSize + Addr(i&(WordsPerLine-1))*WordSize
+}
+
+func benchMemory() *Memory {
+	m := NewMemory()
+	for i := 0; i < benchLines; i++ {
+		m.WriteLine(LineSize+Addr(i)*LineSize, Line{uint64(i)})
+	}
+	return m
+}
+
+var benchSink uint64
+
+func BenchmarkMemoryReadWord(b *testing.B) {
+	m := benchMemory()
+	var sum uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += m.ReadWord(benchAddr(i))
+	}
+	benchSink = sum
+}
+
+func BenchmarkMemoryWriteLine(b *testing.B) {
+	m := benchMemory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WriteLine(benchAddr(i), Line{uint64(i)})
 	}
 }

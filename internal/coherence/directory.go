@@ -138,8 +138,38 @@ type dirLine struct {
 	owner   int
 	sharers sharerSet
 	busy    bool
-	queue   []queuedReq
-	inLLC   bool
+	// queue[qhead:] is the FIFO of requests parked behind the busy line.
+	// A pop advances qhead instead of reslicing the front away, so a
+	// drained queue restarts at the front of its array and a queued
+	// request allocates only when the queue outgrows every earlier one.
+	queue []queuedReq
+	qhead int
+	inLLC bool
+}
+
+// enqueue parks q behind the busy line, first compacting a full array
+// whose front has been popped instead of growing it.
+func (l *dirLine) enqueue(q queuedReq) {
+	if l.qhead > 0 && len(l.queue) == cap(l.queue) {
+		n := copy(l.queue, l.queue[l.qhead:])
+		clear(l.queue[n:])
+		l.queue, l.qhead = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, q)
+}
+
+// dequeue pops the oldest parked request, if any.
+func (l *dirLine) dequeue() (queuedReq, bool) {
+	if l.qhead == len(l.queue) {
+		return queuedReq{}, false
+	}
+	q := l.queue[l.qhead]
+	l.queue[l.qhead] = queuedReq{}
+	l.qhead++
+	if l.qhead == len(l.queue) {
+		l.queue, l.qhead = l.queue[:0], 0
+	}
+	return q, true
 }
 
 // dirBank is one address-interleaved home-node bank. It owns every line
@@ -765,10 +795,10 @@ func (b *dirBank) unblock(l *dirLine) {
 // bounced by ForceNack never reaches unblock, and without this the rest
 // of the queue would strand until a new request happened to complete.
 func (b *dirBank) startNext(l *dirLine) {
-	if !l.busy && len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue[0] = queuedReq{}
-		l.queue = l.queue[1:]
+	if l.busy {
+		return
+	}
+	if next, ok := l.dequeue(); ok {
 		m := b.newMsg()
 		m.op = mStart
 		m.isX = next.isX
@@ -827,7 +857,7 @@ func (b *dirBank) getS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
 	l := b.line(lineAddr)
 	if l.busy {
-		l.queue = append(l.queue, queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
+		l.enqueue(queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
 		return
 	}
 	if b.shouldForceNack(req) {
@@ -865,7 +895,7 @@ func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
 	l := b.line(lineAddr)
 	if l.busy {
-		l.queue = append(l.queue, queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
+		l.enqueue(queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
 		return
 	}
 	if b.shouldForceNack(req) {
@@ -1012,5 +1042,6 @@ func (d *Directory) Busy(lineAddr mem.Addr) bool {
 
 // QueuedLen reports how many requests wait in the line's blocking queue.
 func (d *Directory) QueuedLen(lineAddr mem.Addr) int {
-	return len(d.bankFor(lineAddr).line(lineAddr).queue)
+	l := d.bankFor(lineAddr).line(lineAddr)
+	return len(l.queue) - l.qhead
 }

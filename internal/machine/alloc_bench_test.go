@@ -3,8 +3,10 @@ package machine
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"chats/internal/core"
+	"chats/internal/htm"
 	"chats/internal/mem"
 )
 
@@ -99,9 +101,11 @@ func BenchmarkThreadOpRoundTrip(b *testing.B) {
 	}
 }
 
-// txLoopWL has thread 0 run n transactions that increment one private
-// word: after the first miss each attempt is a begin, an L1-hit load, a
-// store to an already-owned line and a commit, with no conflicts.
+// txLoopWL has every thread run n transactions that increment one
+// word. On one core, after the first miss each attempt is a begin, an
+// L1-hit load, a store to an already-owned line and a commit, with no
+// conflicts; on many it is a contended counter whose body, built once
+// per thread, allocates nothing.
 type txLoopWL struct {
 	n    int
 	addr mem.Addr
@@ -151,4 +155,71 @@ func TestTxAttemptZeroAllocs(t *testing.T) {
 		t.Fatalf("%.3f allocations per transaction attempt (%.0f for %d txs, %.0f for %d), want 0",
 			per, base, n, more, n+extra)
 	}
+}
+
+// allFallback is a baseline policy that takes the global lock after the
+// first abort: on a contended counter most blocks fall back and the
+// other threads queue on the lock.
+func allFallback() htm.Policy { return core.NewBaselineWith(htm.Traits{Retries: 0}) }
+
+// TestLockAcquireZeroAllocs pins the global lock's acquire (spin loads,
+// CAS races, backoff timers, the directory queue behind the lock line)
+// at zero allocations per acquisition: a run with hundreds more lock
+// acquisitions allocates as much as a shorter one, so every allocation
+// is per-run set-up. The per-run count itself wobbles by one between
+// runs, hence the 1-in-100 slack.
+func TestLockAcquireZeroAllocs(t *testing.T) {
+	cfg := testCfg()
+	run := func(iters int) (allocs float64, fallbacks uint64) {
+		allocs = testing.AllocsPerRun(5, func() {
+			m, err := New(cfg, allFallback())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Run(&txLoopWL{n: iters})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fallbacks = st.Fallbacks
+		})
+		return allocs, fallbacks
+	}
+	base, fbBase := run(40)
+	more, fbMore := run(320)
+	if fbMore <= fbBase {
+		t.Fatalf("%d fallbacks at 320 iterations, %d at 40: the lock is not exercised", fbMore, fbBase)
+	}
+	if per := (more - base) / float64(fbMore-fbBase); per > 0.01 {
+		t.Fatalf("%.3f allocations per lock acquisition (%.0f for %d acquisitions, %.0f for %d), want 0",
+			per, base, fbBase, more, fbMore)
+	}
+}
+
+// BenchmarkLockAcquireContended runs 16 threads on one counter with
+// every aborted block falling back to the global lock, so most ops are
+// the lock's spin; it reports host ns per simulated op (L1 hits plus
+// misses, perfbench's sim op). Run as:
+//
+//	go test -run '^$' -bench LockAcquireContended -cpu 1 ./internal/machine
+func BenchmarkLockAcquireContended(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CycleLimit = 50_000_000
+	b.ReportAllocs()
+	var ops uint64
+	var host time.Duration
+	for i := 0; i < b.N; i++ {
+		m, err := New(cfg, allFallback())
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		st, err := m.Run(&txLoopWL{n: 50})
+		host += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops += st.L1Hits + st.L1Misses
+	}
+	b.ReportMetric(float64(host.Nanoseconds())/float64(ops), "ns/simop")
+	b.ReportMetric(float64(ops)/float64(b.N), "simops/run")
 }

@@ -20,9 +20,12 @@ package machine
 //     budget on more speculative attempts, earning budget back on
 //     commits — lock acquisitions smooth into extra retries.
 //
-// All paths are thread-side code over the ordinary rendezvous ops, so
-// they stay bit-deterministic at any -j / -intra-j; randomized delays
-// draw from the per-thread PRNG stream exactly like the lock path.
+// Every path takes the global lock through one engine-side op,
+// opAcquireLock, which runs the test-test-and-set loop without resuming
+// the thread between spins (see lockAcq). The rest is thread-side code
+// over the ordinary rendezvous ops, the STM version-lock loop included.
+// Both stay bit-deterministic at any -j / -intra-j; randomized delays
+// draw from the per-thread PRNG stream at the point the thread would.
 
 import (
 	"fmt"
@@ -526,15 +529,7 @@ func (t *tctx) stmAttempt(body func(Tx)) bool {
 // order and the version locks release with a bump.
 func (t *tctx) stmCommitUnderLock(s *stmTx) bool {
 	la := t.r.m.lockAddr
-	for {
-		for t.do(opReq{kind: opLoad, addr: la}).val != 0 {
-			t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-		}
-		if t.do(opReq{kind: opCAS, addr: la, val: 0, val2: 1}).swapped {
-			break
-		}
-		t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-	}
+	t.do(opReq{kind: opAcquireLock, addr: la})
 	for i, ra := range s.readAddrs {
 		if t.do(opReq{kind: opLoad, addr: ra}).val != s.readVals[i] {
 			t.do(opReq{kind: opStore, addr: la, val: 0})

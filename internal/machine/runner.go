@@ -77,6 +77,7 @@ const (
 	opAcquirePower
 	opReleasePower
 	opFallbackBodyStart
+	opAcquireLock
 )
 
 // opNames names the ops in error messages.
@@ -93,6 +94,7 @@ var opNames = [...]string{
 	opAcquirePower:      "acquire-power",
 	opReleasePower:      "release-power",
 	opFallbackBodyStart: "fallback-body-start",
+	opAcquireLock:       "acquire-lock",
 }
 
 func (k opKind) String() string { return opNames[k] }
@@ -141,6 +143,43 @@ func (tt *tctxTimer) Run() {
 	}
 }
 
+// lockAcq runs opAcquireLock, the global fallback lock's test-and-
+// test-and-set acquire, on the engine side: load until the lock reads
+// free, CAS 0 -> 1, and after a busy load or a lost CAS back off
+// 64+rand(64) cycles from the thread's PRNG. Each op starts exactly
+// where the thread would have issued it, and emits the same op records,
+// so the run is the one the thread-side loop gave; only the winning CAS
+// resumes the thread. One per thread, like tctxTimer.
+type lockAcq struct{ t *tctx }
+
+// Run ends a backoff wait: test the lock again.
+func (a *lockAcq) Run() { a.t.node.Load(a.t.req.addr, false, a) }
+
+func (a *lockAcq) onLoadDone(v uint64, aborted bool) {
+	t := a.t
+	t.r.m.emitOp(t.node.id, OpLoad, false, t.req.addr, v, 0, true)
+	if v != 0 {
+		a.backoff()
+		return
+	}
+	t.node.CAS(t.req.addr, 0, 1, a)
+}
+
+func (a *lockAcq) onCASDone(prev uint64, swapped bool) {
+	t := a.t
+	t.r.m.emitOp(t.node.id, OpCAS, false, t.req.addr, prev, 1, swapped)
+	if !swapped {
+		a.backoff()
+		return
+	}
+	t.finish(opReply{swapped: true})
+}
+
+func (a *lockAcq) backoff() {
+	t := a.t
+	t.node.sched.ScheduleRunner(64+t.rng.Uint64n(64), a)
+}
+
 // tctx is one simulated thread, run as an iter.Pull coroutine: the
 // engine side resumes it with next, and the thread runs until it yields
 // its next op, so exactly one of {engine, some thread} runs at any
@@ -166,6 +205,7 @@ type tctx struct {
 	done      bool
 	req       opReq // the op in flight (valid while pendingOp)
 	timer     tctxTimer
+	acq       lockAcq
 
 	// Fallback-path state (thread-side): the reusable STM descriptor
 	// (lazily built on first software fallback) and the elide path's
@@ -286,6 +326,7 @@ func (r *runner) run(w Workload) error {
 			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
+		t.acq.t = t
 		t.spec = txHandle{t: t}
 		t.lock = txHandle{t: t, fallback: true}
 		t.stmH = stmHandle{t: t}
@@ -437,6 +478,8 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		m.releasePower(n.id)
 		t.timer.ok = true
 		t.sleep(1, opReleasePower)
+	case opAcquireLock:
+		n.Load(req.addr, false, &t.acq)
 	default:
 		panic("machine: unknown op")
 	}
@@ -627,19 +670,12 @@ func (t *tctx) runSpec(body func(Tx)) (committed bool, cause htm.AbortCause) {
 }
 
 // fallbackLock serializes through the global lock: test-test-and-set
-// acquire, non-speculative body, release. Running transactions abort via
-// their eager lock subscription when the CAS takes the line.
+// acquire (one engine-side op, see lockAcq), non-speculative body,
+// release. Running transactions abort via their eager lock subscription
+// when the CAS takes the line.
 func (t *tctx) fallbackLock(body func(Tx)) {
 	la := t.r.m.lockAddr
-	for {
-		for t.do(opReq{kind: opLoad, addr: la}).val != 0 {
-			t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-		}
-		if t.do(opReq{kind: opCAS, addr: la, val: 0, val2: 1}).swapped {
-			break
-		}
-		t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-	}
+	t.do(opReq{kind: opAcquireLock, addr: la})
 	t.do(opReq{kind: opEnterFallback})
 	body(&t.lock)
 	t.do(opReq{kind: opExitFallback})

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -240,11 +241,46 @@ func TestStuckThreadErrors(t *testing.T) {
 	}
 }
 
-// assertNoLeak fails if goroutines started by a run outlive it.
+// runGoroutineFrames mark the goroutines a run starts: a thread
+// coroutine (the body run wraps in iter.Pull, or one created but not yet
+// resumed) and an intra-run engine worker.
+var runGoroutineFrames = [][]byte{
+	[]byte("chats/internal/machine.(*runner).run.func"),
+	[]byte("created by iter.Pull["),
+	[]byte("chats/internal/sim.(*parState).workerLoop"),
+}
+
+// runGoroutines counts the live goroutines whose stacks show one of
+// runGoroutineFrames. Unlike runtime.NumGoroutine it ignores goroutines
+// that other code starts or ends during the run.
+func runGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		for _, f := range runGoroutineFrames {
+			if bytes.Contains(g, f) {
+				count++
+				break
+			}
+		}
+	}
+	return count
+}
+
+// assertNoLeak fails if thread coroutines or engine workers started by
+// a run outlive it; before is runGoroutines() taken before the run.
 func assertNoLeak(t *testing.T, before int) {
 	t.Helper()
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("%d goroutines after the run, %d before", after, before)
+	if after := runGoroutines(); after != before {
+		t.Fatalf("%d thread coroutines or engine workers after the run, %d before", after, before)
 	}
 }
 
@@ -283,7 +319,7 @@ func TestFailedRunsUnwindThreads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := runtime.NumGoroutine()
+			before := runGoroutines()
 			if _, err := m.Run(tc.w); err == nil {
 				t.Fatal("run succeeded, want an error")
 			}
@@ -317,7 +353,7 @@ func TestThreadPanicReachesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := runtime.NumGoroutine()
+		before := runGoroutines()
 		func() {
 			defer func() {
 				if rec := recover(); rec != (threadPanic{3}) {
